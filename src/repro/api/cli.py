@@ -34,14 +34,13 @@ Subcommands
     worker processes — bit-identical results regardless of N — and
     ``--store DIR`` streams the envelopes into a
     :class:`~repro.api.store.ResultStore` (reruns skip work the store
-    already holds).  Resume matching follows ``--cache``: ``content``
-    (the default) keys on the driver module's normalized source as well
-    as the invocation, so caches survive comment/formatting refactors
-    and invalidate on behavioural edits; ``--refresh`` forces
-    re-execution regardless.  ``--shard-index I --shard-count N``
-    executes one deterministic slice of the expanded batch
-    (:mod:`repro.fabric.slicing`) and ``--manifest PATH`` records the
-    shard's campaign manifest for fan-in validation.
+    already holds).  One resume rule: a stored result is reused when its
+    key — invocation + the ``repro`` package code digest — matches, so
+    caches survive comment/formatting refactors and invalidate on any
+    behavioural edit; ``--no-resume`` forces re-execution.  ``--shard-index
+    I --shard-count N`` executes one deterministic slice of the expanded
+    batch (:mod:`repro.fabric.slicing`) and ``--manifest PATH`` records
+    the shard's campaign manifest for fan-in validation.
 ``report --store DIR``
     Regenerate the registry-driven paper-vs-measured ``EXPERIMENTS.md``
     from a result store.  ``--check`` verifies the committed document is
@@ -104,7 +103,6 @@ from repro.api.runner import Runner
 from repro.api.spec import ExperimentSpec
 from repro.api.store import ResultStore, representative
 from repro.exceptions import ReproError
-from repro.fabric.cas import CACHE_POLICIES
 from repro.fabric.manifest import (
     CampaignManifest,
     ShardEntry,
@@ -232,19 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--no-resume",
         action="store_true",
-        help="with --store: re-execute specs even when the store already holds their results",
-    )
-    run_parser.add_argument(
-        "--cache",
-        choices=CACHE_POLICIES,
-        default="content",
-        help="store-resume matching policy: content (invocation + normalized driver source, the default), "
-        "invocation (exact key only), or off (never reuse)",
-    )
-    run_parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="force re-execution of every spec regardless of the cache policy (results still append to --store)",
+        help="with --store: re-execute every spec even when the store holds its result under the current code "
+        "(fresh results still append to the store)",
     )
     run_parser.add_argument(
         "--manifest",
@@ -503,9 +490,7 @@ def _run_campaign(
     of different grids can never be fanned back in together.
     """
     store = ResultStore(args.store) if args.store else None
-    runner = Runner(
-        seed=args.seed, engine=args.engine, backend=args.backend, jobs=args.jobs, cache=args.cache
-    )
+    runner = Runner(seed=args.seed, engine=args.engine, backend=args.backend, jobs=args.jobs)
     total = len(specs)
     counts = {"ran": 0, "cached": 0}
 
@@ -523,7 +508,7 @@ def _run_campaign(
     # lands in the store's telemetry sidecar, never inside an envelope.
     collector = Collector()
     with collector.activate():
-        runner.run_batch(specs, store=store, resume=not (args.no_resume or args.refresh), on_result=on_result)
+        runner.run_batch(specs, store=store, resume=not args.no_resume, on_result=on_result)
     if store is not None and collector.counters:
         store.append_campaign_telemetry(collector.to_dict())
     summary = f"{counts['ran']} executed, {counts['cached']} reused"

@@ -70,12 +70,13 @@ class Result:
         JSON), or ``None`` when the run was not observed.  Never part of
         result identity or of generated-document bytes.
     source_hash:
-        Normalized source digest of the driver module that produced this
-        run (:func:`repro.fabric.cas.driver_source_hash`), or ``None``
-        when unavailable.  Cache metadata only: the content-addressed
-        resume policy matches against it, but like ``runtime_s`` it
-        never participates in :func:`~repro.api.store.result_key`
-        identity or generated-document bytes.
+        Code digest of the ``repro`` package that produced this run
+        (:func:`repro.fabric.cas.driver_source_hash`), or ``None`` when
+        unavailable.  Cache metadata only: resume reuses a stored result
+        when invocation + this digest match the current code, but like
+        ``runtime_s`` it never participates in
+        :func:`~repro.api.store.result_key` identity or
+        generated-document bytes.
     """
 
     experiment: str

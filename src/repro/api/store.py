@@ -9,9 +9,10 @@ file concatenation.
 
 Results are identified by :func:`result_key` — a content hash of the
 resolved invocation (experiment, engine, seed, parameters) — which makes
-reads idempotent: duplicate envelopes from a rerun collapse to one, and
-:meth:`ResultStore.existing_keys` lets the runner skip specs a partial
-store already holds.  :meth:`ResultStore.query` filters the decoded
+reads idempotent: duplicate envelopes from a rerun collapse to one.  The
+runner resumes a partial store on the same material plus the package
+code digest (:func:`document_content_key`), so only results the current
+code would produce are reused.  :meth:`ResultStore.query` filters the decoded
 results by experiment, engine, seed or any recorded parameter value.
 
 :meth:`ResultStore.merge` is the distributed fan-in point: alongside
@@ -57,7 +58,13 @@ _CAMPAIGN_TELEMETRY_DIR = "campaign-telemetry"
 
 
 def invocation_key(
-    experiment: str, engine: str, seed: int | None, params: Mapping[str, Any], *, backend: str | None = None
+    experiment: str,
+    engine: str,
+    seed: int | None,
+    params: Mapping[str, Any],
+    *,
+    backend: str | None = None,
+    source_hash: str | None = None,
 ) -> str:
     """Content hash of one resolved invocation.
 
@@ -71,10 +78,17 @@ def invocation_key(
     another array backend is a distinct result.  ``None`` (experiments that
     take no backend, and envelopes written before backends existed) hashes
     exactly as it did historically.
+
+    ``source_hash`` (the package code digest,
+    :func:`repro.fabric.cas.driver_source_hash`) turns the result identity
+    into the resume cache key: invocation + code, so a cached result is
+    reused only while the code that produced it is unchanged.
     """
     material = {"experiment": experiment, "engine": engine, "seed": seed, "params": dict(params)}
     if backend is not None:
         material["backend"] = backend
+    if source_hash is not None:
+        material["source"] = source_hash
     digest = hashlib.sha256(canonical_json(material).encode("utf-8"))
     return digest.hexdigest()[:16]
 
@@ -125,7 +139,7 @@ class MergeStats:
         }
 
 
-def _document_key(document: dict[str, Any]) -> str:
+def _document_key(document: dict[str, Any], source_hash: str | None = None) -> str:
     # Decode only the params (not the payload): `invocation_key` canonicalizes
     # decoded values, and skipping the payload keeps key scans cheap on
     # 10^4-envelope stores.
@@ -135,29 +149,21 @@ def _document_key(document: dict[str, Any]) -> str:
         document["seed"],
         decode(document["params"]),
         backend=document.get("backend"),
+        source_hash=source_hash,
     )
 
 
 def document_content_key(document: dict[str, Any]) -> str | None:
-    """The envelope's content-addressed cache key, or ``None``.
+    """The envelope's resume cache key (invocation + code digest), or ``None``.
 
     ``None`` when the envelope predates the fabric and recorded no
-    driver source hash — such envelopes are invisible to the
-    ``cache="content"`` resume policy (a safe miss, never a false hit).
+    source hash — such envelopes never match on resume (a safe miss,
+    never a false hit).
     """
     source_hash = document.get("source_hash")
     if source_hash is None:
         return None
-    from repro.fabric.cas import content_key
-
-    return content_key(
-        document["experiment"],
-        document["engine"],
-        document["seed"],
-        decode(document["params"]),
-        backend=document.get("backend"),
-        source_hash=source_hash,
-    )
+    return _document_key(document, source_hash)
 
 
 class ResultStore:

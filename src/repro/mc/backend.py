@@ -3,16 +3,15 @@
 Every hot-path kernel in :mod:`repro.mc` takes an explicit ``xp``
 namespace and restricts itself to operations in the Python array-API
 standard, so the same code runs on numpy (the committed-document
-reference), CuPy, JAX, or the ``array-api-strict`` conformance
-namespace.  This module is the resolution layer between a *backend
-name* (what specs, the CLI and ``REPRO_BACKEND`` carry) and the
-namespace object the kernels consume:
+reference) or the ``array-api-strict`` conformance namespace.  This
+module is the resolution layer between a *backend name* (what specs,
+the CLI and ``REPRO_BACKEND`` carry) and the namespace object the
+kernels consume:
 
 * :func:`get_namespace` maps a backend name or an array to its
   namespace.
 * :data:`BACKENDS` is the registry of :class:`ArrayBackend` entries —
-  ``numpy`` is always present; ``cupy``, ``jax`` and
-  ``array-api-strict`` are registered when importable.
+  ``numpy`` and ``array-api-strict`` are always present.
 * :func:`default_backend` honours the ``REPRO_BACKEND`` environment
   variable and falls back to ``numpy``.
 
@@ -202,34 +201,12 @@ def _register_backends() -> dict[str, ArrayBackend]:
             description="internal strict shim over numpy — array-API whitelist, numpy arrays",
             simulated=True,
         )
-    try:
-        import cupy  # type: ignore[import-not-found]
-
-        backends["cupy"] = ArrayBackend(
-            name="cupy",
-            xp=cupy,
-            description=f"cupy {cupy.__version__} — CUDA GPU arrays",
-            to_numpy=lambda array: np.asarray(cupy.asnumpy(array)),
-        )
-    except ImportError:
-        pass
-    try:
-        import jax.numpy as jnp  # type: ignore[import-not-found]
-
-        backends["jax"] = ArrayBackend(
-            name="jax",
-            xp=jnp,
-            description="jax.numpy — XLA-compiled arrays (CPU/GPU/TPU)",
-            to_numpy=_generic_to_numpy,
-        )
-    except ImportError:
-        pass
     return backends
 
 
-#: The backend registry.  ``numpy`` is always present; the others are
-#: registered when their package imports (or, for ``array-api-strict``,
-#: simulated by the internal shim so the conformance path always exists).
+#: The backend registry: ``numpy`` plus ``array-api-strict`` (the real
+#: package when it imports, else simulated by the internal shim so the
+#: conformance path always exists).
 BACKENDS: dict[str, ArrayBackend] = _register_backends()
 
 
@@ -325,7 +302,7 @@ def to_numpy(array: Any) -> np.ndarray:
     """Convert any registered backend's array to ``numpy.ndarray``.
 
     Identity for numpy arrays (including those flowing through the
-    strict shim); device transfer for accelerator backends.  Applied at
+    strict shim); unwraps real ``array_api_strict`` arrays.  Applied at
     driver boundaries so result payloads always hold numpy arrays.
     """
     return _generic_to_numpy(array)

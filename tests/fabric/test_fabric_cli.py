@@ -141,11 +141,11 @@ class TestCampaignCounters:
         assert main(["stats", "--store", str(store)]) == 0
         assert "campaign counters" in capsys.readouterr().out
 
-    def test_refresh_forces_re_execution(self, tmp_path, capsys):
+    def test_no_resume_forces_re_execution(self, tmp_path, capsys):
         grid = _write_grid(tmp_path, "grid.json", [2.0])
         store = tmp_path / "store"
         assert main(["run", "--specs", grid, "--store", str(store), "--quiet"]) == 0
-        assert main(["run", "--specs", grid, "--store", str(store), "--refresh", "--quiet"]) == 0
+        assert main(["run", "--specs", grid, "--store", str(store), "--no-resume", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "1 executed, 0 reused; store" in out.splitlines()[-1]
 
