@@ -21,7 +21,7 @@ import pytest
 
 import repro.netsim.medium as medium_module
 from repro.experiments import fig11_per
-from repro.mc import BatchViterbiDecoder, encode_batch
+from repro.mc import BatchViterbiDecoder, depuncture_batch, encode_batch, puncture_batch
 from repro.mc.backend import get_namespace, to_numpy
 from repro.netsim.fleet import FleetScenario, FleetSimulator
 from repro.wifi.ofdm.convolutional import ViterbiDecoder
@@ -160,6 +160,25 @@ def test_soft_viterbi_batch(benchmark):
 
     decoded = benchmark(lambda: decoder.decode_batch(llrs, soft=True))
     np.testing.assert_array_equal(decoded, decoder.decode_batch(noisy))
+
+
+def test_kernel_viterbi_soft_qam64_symbol(benchmark):
+    """Kernel layer: soft Viterbi at the ``phy`` workload's heaviest decode shape.
+
+    One 48 Mbps OFDM symbol per codeword (64-QAM, rate 2/3: 288 coded bits
+    depunctured to 384 with an erasure mask), 200 codewords — one SNR
+    point of the workload's 64-QAM sweep.  Noisy but confident LLRs must
+    decode back to the sent bits.
+    """
+    rng = np.random.default_rng(2016)
+    codewords, data_bits = 200, 192
+    bits = rng.integers(0, 2, (codewords, data_bits), dtype=np.uint8)
+    sent = puncture_batch(encode_batch(bits), "2/3").astype(np.float64)
+    llrs, known = depuncture_batch(4.0 * (2.0 * sent - 1.0) + rng.standard_normal(sent.shape), "2/3")
+    decoder = BatchViterbiDecoder()
+
+    decoded = benchmark(lambda: decoder.decode_batch(llrs, known_mask=known, soft=True))
+    np.testing.assert_array_equal(decoded, bits)
 
 
 def test_fleet_1000_devices_fast_path(benchmark, paper_report, monkeypatch):

@@ -120,7 +120,8 @@ def run_sweep(  # lint-ok: RL001 -- statistics aggregate in numpy at the driver 
     aggregated statistics always come back as numpy.  ``max_batch`` caps
     the realisations evaluated per vectorised call so arbitrarily large
     trial counts stay within memory (the batched Viterbi's survivor
-    history is the dominant allocation: ``steps × N × 64`` bytes).
+    history is the dominant allocation: ``steps × N × 64`` bytes, twice
+    its ``steps × N × 32``-byte branch-cost table).
     """
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")

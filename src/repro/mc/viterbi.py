@@ -9,10 +9,12 @@ Monte-Carlo PER sweeps over thousands of codewords tractable.
 
 Both functions are bit-exact with their scalar counterparts (including
 tie-breaking): the scalar decoder's strict ``<`` update keeps the first
-candidate on a tie, and for every next state the two predecessors arrive in
-ascending state order, so ``argmin`` (first occurrence) reproduces the
-identical survivor choice.  The equivalence tests in ``tests/mc`` assert
-this across random codewords, erasure masks and start states.
+candidate on a tie, and every next state's first candidate comes from the
+lower of its two predecessors, so a strict ``<`` between the butterfly's
+lower and upper predecessor reproduces the identical survivor choice.  The
+equivalence tests in ``tests/mc`` assert this across random codewords,
+erasure masks and start states, against the scalar hard decoder and a
+plain-Python soft-metric oracle.
 
 ``decode_batch`` also accepts demapper log-likelihood ratios
 (``soft=True``): the trellis already carries float path metrics, so the
@@ -47,7 +49,10 @@ from repro.wifi.ofdm.convolutional import (
 __all__ = ["encode_batch", "BatchViterbiDecoder"]
 
 _NUM_STATES = 1 << (CONSTRAINT_LENGTH - 1)
+_HALF_STATES = _NUM_STATES // 2
 _HISTORY_BITS = CONSTRAINT_LENGTH - 1
+#: The 4 coded-bit pairs ``(C1, C2)`` a branch can expect, indexed ``2·C1 + C2``.
+_PAIR_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
 
 
 def _as_bit_matrix(bits, xp):
@@ -91,43 +96,26 @@ def encode_batch(bits, *, initial_history=None, xp=None):
 class BatchViterbiDecoder:
     """Batched Viterbi over many codewords at once (hard or soft decision).
 
-    ``decode_batch(coded[N, L])`` advances all N trellises together: the
-    branch metrics for every (predecessor state, input bit) pair are computed
-    as one ``[N, 64, 2]`` array per step and the survivor selection is a
-    single ``argmin`` over each next state's two ordered predecessors.
+    ``decode_batch(coded[N, L])`` advances all N trellises together, one
+    radix-2 butterfly per step: next states ``2j`` and ``2j+1`` both come
+    from predecessors ``j`` and ``j+32``, so each half of the ``[N, 64]``
+    metrics broadcasts against ``[N, 32, 2]`` branch costs gathered from
+    the step's 4 coded-bit-pair costs, and the survivor choice is a single
+    strict ``<`` between the lower and the upper predecessor's candidate.
     """
 
     def __init__(self) -> None:
-        states = np.arange(_NUM_STATES)
-        # Expected C1/C2 for the transition taken *from* each state on each
-        # input bit.  window[d] == b[k-d]: bit then the six history bits.
-        history = (states[:, None] >> np.arange(_HISTORY_BITS)[None, :]) & 1  # [64, 6]
-        outputs = np.zeros((_NUM_STATES, 2, 2), dtype=np.uint8)
-        for bit in (0, 1):
-            window = np.concatenate(
-                [np.full((_NUM_STATES, 1), bit, dtype=np.int64), history], axis=1
-            )  # [64, 7]
-            c1 = np.zeros(_NUM_STATES, dtype=np.uint8)
-            c2 = np.zeros(_NUM_STATES, dtype=np.uint8)
-            for tap in _G1_TAPS:
-                c1 ^= window[:, tap].astype(np.uint8)
-            for tap in _G2_TAPS:
-                c2 ^= window[:, tap].astype(np.uint8)
-            outputs[:, bit, 0] = c1
-            outputs[:, bit, 1] = c2
-        self._outputs = outputs
-        # Next state of (state, bit) is bit | ((state & 0x1F) << 1), so the
-        # two predecessors of next-state s are (s >> 1) and (s >> 1) | 32 —
-        # in that (ascending) order, both consuming input bit s & 1.
-        next_states = np.arange(_NUM_STATES)
-        self._entry_bit = (next_states & 1).astype(np.int64)  # [64]
-        self._pred = np.stack(
-            [next_states >> 1, (next_states >> 1) | (1 << (_HISTORY_BITS - 1))], axis=1
-        )  # [64, 2]
-        # Expected output pair of each next state's two incoming branches.
-        self._branch_outputs = outputs[self._pred, self._entry_bit[:, None], :]  # [64, 2, 2]
-        # ±1 branch symbols for the soft (correlation) metric.
-        self._branch_signs = 2.0 * self._branch_outputs.astype(np.float64) - 1.0
+        # Expected pair index 2·C1 + C2 of every transition, (state, bit) in
+        # row-major order: encode the input bit from the state's history.
+        transitions = np.arange(2 * _NUM_STATES)
+        history = ((transitions[:, None] >> 1) >> np.arange(_HISTORY_BITS)) & 1  # [128, 6]
+        pairs = encode_batch((transitions & 1)[:, None], initial_history=history, xp=np)
+        pattern = 2 * pairs[:, 0].astype(np.int64) + pairs[:, 1]  # [128]
+        # Next state of (state, bit) is bit | ((state & 0x1F) << 1), so
+        # predecessor j (or j + 32) on input bit b feeds next state 2j + b:
+        # row-major (j, bit) order *is* next-state order.
+        self._lower_pattern = pattern[:_NUM_STATES]  # predecessors 0..31
+        self._upper_pattern = pattern[_NUM_STATES:]  # predecessors 32..63
 
     def decode_batch(
         self,
@@ -173,47 +161,45 @@ class BatchViterbiDecoder:
                 xp.full(_NUM_STATES, xp.inf, dtype=xp.float64),
             )
             metrics = xp.broadcast_to(start[None, :], (n, _NUM_STATES))
-            # Survivor choice per step: which of the two ordered predecessors won.
+            # Survivor choice per step: True where the upper predecessor won.
             choices: list = [None] * num_steps
 
-            branch = xp.asarray(self._branch_outputs)  # [64, 2, 2]
-            signs = xp.asarray(self._branch_signs)  # [64, 2, 2]
-            pred_flat = xp.asarray(self._pred.reshape(-1))  # [128]
+            # Cost of each step's 4 possible expected pairs: [N, steps, 4].
             if soft:
                 # Masked LLRs: an erased position carries zero evidence.
-                llrs = coded * xp.astype(known, xp.float64)
+                lam = xp.reshape(coded * xp.astype(known, xp.float64), (n, num_steps, 1, 2))
+                signs = xp.asarray(2.0 * _PAIR_BITS - 1.0)  # [4, 2]
+                # Negative correlation between the pair's ±1 coded symbols
+                # and the received LLRs: agreeing evidence lowers the path
+                # metric.
+                costs = -(signs[:, 0] * lam[..., 0] + signs[:, 1] * lam[..., 1])
+            else:
+                r = xp.reshape(coded, (n, num_steps, 1, 2))
+                m = xp.reshape(known, (n, num_steps, 1, 2))
+                mismatch = (xp.asarray(_PAIR_BITS) != r) & m  # [N, steps, 4, 2]
+                # The boolean mismatch terms must be cast *before* summing:
+                # booleans add as logical OR, which would collapse a two-bit
+                # mismatch into a cost of 1.
+                costs = xp.astype(mismatch[..., 0], xp.float64) + xp.astype(mismatch[..., 1], xp.float64)
+            lower_pattern = xp.asarray(self._lower_pattern)
+            upper_pattern = xp.asarray(self._upper_pattern)
+            butterfly = (n, _HALF_STATES, 2)
+            flat = (n, _NUM_STATES)
             for step in range(num_steps):
-                if soft:
-                    lam = llrs[:, 2 * step : 2 * step + 2]  # [N, 2]
-                    # Negative correlation between the branch's ±1 coded
-                    # symbols and the received LLRs: agreeing evidence
-                    # lowers the path metric.
-                    cost = -(
-                        signs[None, :, :, 0] * lam[:, None, None, 0]
-                        + signs[None, :, :, 1] * lam[:, None, None, 1]
-                    )  # [N, 64, 2]
-                else:
-                    r = coded[:, 2 * step : 2 * step + 2]  # [N, 2]
-                    m = known[:, 2 * step : 2 * step + 2]  # [N, 2]
-                    # Branch cost of each next state's two incoming transitions.
-                    # The boolean mismatch terms must be cast *before* summing:
-                    # booleans add as logical OR, which would collapse a two-bit
-                    # mismatch into a cost of 1.
-                    cost = xp.astype(
-                        (branch[None, :, :, 0] != r[:, None, None, 0]) & m[:, None, None, 0],
-                        xp.float64,
-                    ) + xp.astype(
-                        (branch[None, :, :, 1] != r[:, None, None, 1]) & m[:, None, None, 1],
-                        xp.float64,
-                    )  # [N, 64, 2]
-                # metrics[:, pred] — a 2-D gather, expressed portably as a
-                # flat take over the predecessor table.
-                prev = xp.reshape(xp.take(metrics, pred_flat, axis=1), (n, _NUM_STATES, 2))
-                candidates = prev + cost  # [N, 64, 2]
-                choice = xp.argmin(candidates, axis=2)  # ties -> lower predecessor
-                choices[step] = xp.astype(choice, xp.uint8)
-                # min() selects the same (first-occurrence) element argmin did.
-                metrics = xp.min(candidates, axis=2)
+                step_costs = costs[:, step, :]  # [N, 4]
+                lower = xp.reshape(metrics[:, :_HALF_STATES], (n, _HALF_STATES, 1))
+                upper = xp.reshape(metrics[:, _HALF_STATES:], (n, _HALF_STATES, 1))
+                # Candidates for next states 2j, 2j+1 from predecessor j (a)
+                # and from predecessor j + 32 (b), in next-state order.
+                a = xp.reshape(lower + xp.reshape(xp.take(step_costs, lower_pattern, axis=1), butterfly), flat)
+                b = xp.reshape(upper + xp.reshape(xp.take(step_costs, upper_pattern, axis=1), butterfly), flat)
+                # Strict <: a tie (inf against inf included) keeps the lower
+                # predecessor, as the scalar decoder's strict update does.
+                choices[step] = b < a
+                # minimum() is the value where(choice, b, a) selects, up to
+                # the sign of a zero that no later comparison can see — and
+                # several times cheaper than where() on a random mask.
+                metrics = xp.minimum(a, b)
 
             state = xp.argmin(metrics, axis=1)  # [N]; first occurrence, as scalar
             row_offsets = xp.arange(n) * _NUM_STATES
