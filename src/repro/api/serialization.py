@@ -23,13 +23,13 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["canonical_json", "encode", "decode", "payload_equal", "validate_encoded"]
+__all__ = ["canonical_json", "encode", "decode", "payload_equal", "strict_loads", "validate_encoded"]
 
 _KIND = "__kind__"
 
@@ -53,8 +53,29 @@ def _sanitize_numbers(values: list) -> list:
     ]
 
 
-def _restore_numbers(values: list) -> list:
-    return [_NONFINITE[v] if isinstance(v, str) else v for v in values]
+def _encode_values(flat: np.ndarray) -> list:
+    """*flat* as a JSON list, non-finite floats named by :func:`_sanitize_numbers`.
+
+    Integer, boolean and all-finite float arrays hold no value to rename,
+    so one vectorised ``isfinite`` replaces the per-element pass for them.
+    """
+    kind = flat.dtype.kind
+    if kind in "biu" or (kind == "f" and np.isfinite(flat).all()):
+        return flat.tolist()
+    return _sanitize_numbers(flat.tolist())
+
+
+def _decode_values(values: list) -> np.ndarray:
+    """Invert :func:`_encode_values` (before the dtype cast).
+
+    Numbers alone never make numpy build a string or object array; a
+    non-finite marker (a string) does, so the per-element restore runs
+    only for such a list.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind in "OSU":
+        array = np.asarray([_NONFINITE[v] if isinstance(v, str) else v for v in values])
+    return array
 
 
 def _encode_ndarray(array: np.ndarray) -> dict:
@@ -65,10 +86,10 @@ def _encode_ndarray(array: np.ndarray) -> dict:
     }
     flat = array.ravel()
     if np.issubdtype(array.dtype, np.complexfloating):
-        node["real"] = _sanitize_numbers(flat.real.tolist())
-        node["imag"] = _sanitize_numbers(flat.imag.tolist())
+        node["real"] = _encode_values(flat.real)
+        node["imag"] = _encode_values(flat.imag)
     else:
-        node["data"] = _sanitize_numbers(flat.tolist())
+        node["data"] = _encode_values(flat)
     return node
 
 
@@ -76,11 +97,9 @@ def _decode_ndarray(node: dict) -> np.ndarray:
     dtype = np.dtype(node["dtype"])
     shape = tuple(node["shape"])
     if "real" in node:
-        flat = np.asarray(_restore_numbers(node["real"]), dtype=float) + 1j * np.asarray(
-            _restore_numbers(node["imag"]), dtype=float
-        )
+        flat = _decode_values(node["real"]).astype(float) + 1j * _decode_values(node["imag"]).astype(float)
     else:
-        flat = np.asarray(_restore_numbers(node["data"]))
+        flat = _decode_values(node["data"])
     return flat.astype(dtype).reshape(shape)
 
 
@@ -142,6 +161,29 @@ def canonical_json(obj: Any) -> str:
     identities, so it must not depend on dict insertion order or formatting.
     """
     return json.dumps(encode(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not strict JSON")
+
+
+#: Shared decoder for :func:`strict_loads` (``json.loads`` with a keyword
+#: argument would build a fresh decoder on every call).
+_STRICT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def strict_loads(text: str) -> Any:
+    """Parse one JSON document, rejecting the ``NaN``/``Infinity`` tokens.
+
+    ``json.loads`` accepts those bare tokens, but strict JSON (what every
+    writer here emits, ``allow_nan=False``) does not.  A value this returns
+    is one ``json.dumps(..., allow_nan=False)`` accepts, so text read
+    through it may be copied byte for byte without re-encoding.  Malformed
+    text raises :class:`json.JSONDecodeError`; a non-strict token raises a
+    plain :class:`ValueError`, so torn-line handlers that catch the former
+    never swallow the latter.
+    """
+    return _STRICT_DECODER.decode(text)
 
 
 def decode(node: Any) -> Any:

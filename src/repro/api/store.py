@@ -5,7 +5,8 @@ A :class:`ResultStore` is a directory of JSON-lines shards, one
 process appends to its **own** shard file (named after its PID by
 default), so parallel workers never contend for a lock, a killed run
 leaves at most one truncated trailing line, and merging two stores is
-file concatenation.
+file concatenation: :meth:`ResultStore.merge` copies each new source line
+byte for byte, never re-encoding it.
 
 Results are identified by :func:`result_key` — a content hash of the
 resolved invocation (experiment, engine, seed, parameters) — which makes
@@ -29,14 +30,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.api.registry import get_experiment
 from repro.api.result import Result
-from repro.api.serialization import canonical_json, decode, payload_equal
+from repro.api.serialization import canonical_json, decode, payload_equal, strict_loads
 from repro.exceptions import ConfigurationError
 from repro.obs import metrics as obs
 
@@ -153,6 +154,12 @@ def _document_key(document: dict[str, Any], source_hash: str | None = None) -> s
     )
 
 
+def _keyed_lines(lines: Iterable[tuple[dict[str, Any], str]]) -> Iterator[tuple[str, dict[str, Any], str]]:
+    """``(key, document, line)`` for each ``(document, line)`` of a merge source."""
+    for document, line in lines:
+        yield _document_key(document), document, line
+
+
 def document_content_key(document: dict[str, Any]) -> str | None:
     """The envelope's resume cache key (invocation + code digest), or ``None``.
 
@@ -201,9 +208,14 @@ class ResultStore:
         self.append_document(result.to_dict())
         return result_key(result)
 
-    def append_document(self, document: dict[str, Any]) -> None:
-        """Append an already-encoded envelope (one compact JSON line)."""
-        line = json.dumps(document, allow_nan=False, separators=(",", ":"))
+    def append_document(self, document: dict[str, Any], line: str | None = None) -> None:
+        """Append an already-encoded envelope (one compact JSON line).
+
+        *line*, when given, is *document*'s JSON text as read from another
+        shard; it is written unchanged instead of re-encoding *document*.
+        """
+        if line is None:
+            line = json.dumps(document, allow_nan=False, separators=(",", ":"))
         with open(self.shard_path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
@@ -217,20 +229,24 @@ class ResultStore:
         :mod:`repro.fabric.remote` with torn-line tolerance.
 
         Duplicates (by :func:`result_key`) are skipped, so merging is
-        idempotent.  Returns a :class:`MergeStats` accounting for every
-        source line: ingested, deduplicated, or torn and skipped.
+        idempotent.  An ingested envelope's source line is copied byte for
+        byte (merging is file concatenation minus duplicates); the source
+        is read strictly, so a line holding a bare ``NaN``/``Infinity``
+        token raises :class:`ValueError` and is never written.  Returns a
+        :class:`MergeStats` accounting for every source line: ingested,
+        deduplicated, or torn and skipped.
         """
         with obs.span("store.merge", source=str(other)):
-            pairs, torn = self._source_documents(other)
+            entries, torn = self._source_documents(other)
             seen = self.existing_keys()
             ingested = 0
             deduped = 0
-            for key, document in pairs:
+            for key, document, line in entries:
                 if key in seen:
                     deduped += 1
                     continue
                 seen.add(key)
-                self.append_document(document)
+                self.append_document(document, line)
                 ingested += 1
             stats = MergeStats(
                 ingested=ingested,
@@ -245,8 +261,8 @@ class ResultStore:
     @staticmethod
     def _source_documents(
         other: "ResultStore | str | Path",
-    ) -> tuple[Iterator[tuple[str, dict[str, Any]]], Any]:
-        """A merge source as ``(keyed-document iterator, torn-count callable)``.
+    ) -> tuple[Iterator[tuple[str, dict[str, Any], str]], Any]:
+        """A merge source as ``((key, document, line) iterator, torn-count callable)``.
 
         The torn count is a callable because a local store only knows how
         many lines tore *after* iteration finishes, while a remote fetch
@@ -257,11 +273,11 @@ class ResultStore:
 
             fetched = fetch_shard(other)
             obs.count("store.merge.remote_documents", len(fetched.documents))
-            pairs = ((_document_key(document), document) for document in fetched.documents)
-            return pairs, lambda: fetched.torn_lines_skipped
+            lines = zip(fetched.documents, fetched.lines, strict=True)
+            return _keyed_lines(lines), lambda: fetched.torn_lines_skipped
         source = other if isinstance(other, ResultStore) else ResultStore(other)
         torn_before = source.torn_lines_skipped
-        return source.iter_keyed_documents(), lambda: source.torn_lines_skipped - torn_before
+        return _keyed_lines(source.iter_lines(strict=True)), lambda: source.torn_lines_skipped - torn_before
 
     # -- campaign telemetry ------------------------------------------------
 
@@ -285,22 +301,8 @@ class ResultStore:
 
     def iter_campaign_telemetry(self) -> Iterator[dict[str, Any]]:
         """Yield campaign telemetry documents, torn-line tolerant."""
-        directory = self.root / _CAMPAIGN_TELEMETRY_DIR
-        if not directory.is_dir():
-            return
-        for path in sorted(directory.glob("*.jsonl")):
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        document = json.loads(line)
-                    except json.JSONDecodeError:
-                        self.torn_lines_skipped += 1
-                        continue
-                    if isinstance(document, dict):
-                        yield document
+        for document, _ in self._read_lines(sorted((self.root / _CAMPAIGN_TELEMETRY_DIR).glob("*.jsonl"))):
+            yield document
 
     # -- reading -----------------------------------------------------------
 
@@ -315,20 +317,35 @@ class ResultStore:
         skipped — counted in :attr:`torn_lines_skipped` — rather than
         poisoning the whole store.
         """
-        for path in self.shard_paths():
+        for document, _ in self.iter_lines():
+            yield document
+
+    def iter_lines(self, *, strict: bool = False) -> Iterator[tuple[dict[str, Any], str]]:
+        """Yield ``(envelope dict, stripped line)`` pairs, as :meth:`iter_documents` reads them.
+
+        With ``strict=True`` a line holding a bare ``NaN``/``Infinity``
+        token raises :class:`ValueError` (see
+        :func:`~repro.api.serialization.strict_loads`): the merge path
+        copies lines verbatim and must only ever copy strict JSON.
+        """
+        return self._read_lines(self.shard_paths(), strict_loads if strict else json.loads)
+
+    def _read_lines(self, paths: list[Path], loads: Any = json.loads) -> Iterator[tuple[dict[str, Any], str]]:
+        """``(JSON object, stripped line)`` for each object line of *paths*; torn lines are counted."""
+        for path in paths:
             with open(path, encoding="utf-8") as handle:
                 for line in handle:
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        document = json.loads(line)
+                        document = loads(line)
                     except json.JSONDecodeError:
                         self.torn_lines_skipped += 1
                         obs.count("store.torn_lines_skipped")
                         continue
                     if isinstance(document, dict):
-                        yield document
+                        yield document, line
 
     def iter_keyed_documents(self) -> Iterator[tuple[str, dict[str, Any]]]:
         """Yield ``(invocation key, raw envelope dict)`` pairs, duplicates included.

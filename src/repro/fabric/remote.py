@@ -11,6 +11,9 @@ per line.  Parsing is torn-line tolerant — a line that does not parse as
 JSON (the truncated tail of a killed writer, or a partial download) is
 counted and skipped, never fatal — and non-object lines are ignored, so
 merging a half-written remote shard degrades to merging what survived.
+Each envelope keeps its stripped line, which the merge copies byte for
+byte, so parsing is also strict: a bare ``NaN``/``Infinity`` token
+raises :class:`ValueError` rather than reaching the destination store.
 ``file://`` URIs may also name a store *directory*, in which case every
 ``*.jsonl`` shard inside it is read in sorted order, mirroring
 :meth:`~repro.api.store.ResultStore.shard_paths`.
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.api.serialization import strict_loads
 from repro.exceptions import ConfigurationError
 
 __all__ = ["ShardFetch", "fetch_shard", "is_uri", "parse_shard_lines"]
@@ -49,12 +53,16 @@ class ShardFetch:
     ----------
     documents:
         Every line that parsed as a JSON object, in resource order.
+    lines:
+        The stripped text of each of those lines, parallel to
+        ``documents`` — the bytes a merge writes.
     torn_lines_skipped:
         Lines that did not parse as JSON — truncated writes or partial
         transfers — skipped rather than failing the whole fan-in.
     """
 
     documents: tuple[dict[str, Any], ...]
+    lines: tuple[str, ...]
     torn_lines_skipped: int
 
 
@@ -64,33 +72,34 @@ def is_uri(source: str) -> bool:
 
 
 def parse_shard_lines(text: str) -> ShardFetch:
-    """Parse JSONL *text* tolerantly into a :class:`ShardFetch`."""
+    """Parse JSONL *text* tolerantly (but strictly, see above) into a :class:`ShardFetch`."""
     documents: list[dict[str, Any]] = []
+    lines: list[str] = []
     torn = 0
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         try:
-            document = json.loads(line)
+            document = strict_loads(line)
         except json.JSONDecodeError:
             torn += 1
             continue
         if isinstance(document, dict):
             documents.append(document)
-    return ShardFetch(documents=tuple(documents), torn_lines_skipped=torn)
+            lines.append(line)
+    return ShardFetch(documents=tuple(documents), lines=tuple(lines), torn_lines_skipped=torn)
 
 
 def _fetch_file(uri: str) -> ShardFetch:
     path = Path(urllib.request.url2pathname(urllib.parse.urlparse(uri).path))
     if path.is_dir():
-        documents: list[dict[str, Any]] = []
-        torn = 0
-        for shard in sorted(path.glob("*.jsonl")):
-            fetched = parse_shard_lines(shard.read_text(encoding="utf-8"))
-            documents.extend(fetched.documents)
-            torn += fetched.torn_lines_skipped
-        return ShardFetch(documents=tuple(documents), torn_lines_skipped=torn)
+        fetches = [parse_shard_lines(shard.read_text(encoding="utf-8")) for shard in sorted(path.glob("*.jsonl"))]
+        return ShardFetch(
+            documents=tuple(document for fetched in fetches for document in fetched.documents),
+            lines=tuple(line for fetched in fetches for line in fetched.lines),
+            torn_lines_skipped=sum(fetched.torn_lines_skipped for fetched in fetches),
+        )
     try:
         return parse_shard_lines(path.read_text(encoding="utf-8"))
     except OSError as exc:

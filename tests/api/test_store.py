@@ -194,3 +194,86 @@ class TestMerge:
         stats = left.merge(right)
         assert stats.ingested == 1
         assert stats.torn_lines_skipped == 1
+
+
+def _lines(*stores: ResultStore) -> list[str]:
+    """Every stored line of *stores*' shards, in shard then file order."""
+    return [line for store in stores for path in store.shard_paths() for line in path.read_text().splitlines()]
+
+
+def _poisoned_line(result) -> str:
+    """A well-formed envelope line holding a bare ``NaN`` literal (not strict JSON)."""
+    document = result.to_dict()
+    document["runtime_s"] = float("nan")
+    return json.dumps(document, separators=(",", ":"))
+
+
+class TestMergeCopiesBytes:
+    """Merge is file concatenation minus duplicates: source bytes, never re-encoded."""
+
+    def test_store_source_lines_are_copied_verbatim(self, tmp_path, results):
+        source = ResultStore(tmp_path / "source", shard="a.jsonl")
+        for result in results[:2]:
+            source.append(result)
+        ResultStore(tmp_path / "source", shard="b.jsonl").append(results[2])
+        destination = ResultStore(tmp_path / "destination")
+        assert destination.merge(source).ingested == 3
+        assert _lines(destination) == _lines(source)
+
+    def test_path_source_lines_are_copied_verbatim(self, tmp_path, results):
+        source = ResultStore(tmp_path / "source")
+        for result in results:
+            source.append(result)
+        destination = ResultStore(tmp_path / "destination")
+        assert destination.merge(tmp_path / "source").ingested == len(results)
+        assert _lines(destination) == _lines(source)
+
+    def test_non_compact_line_is_not_re_encoded(self, tmp_path, results):
+        source = ResultStore(tmp_path / "source", shard="hand.jsonl")
+        spaced = json.dumps(results[0].to_dict(), allow_nan=False)  # default ", " / ": " separators
+        source.shard_path.write_text(spaced + "\n")
+        destination = ResultStore(tmp_path / "destination")
+        assert destination.merge(source).ingested == 1
+        assert destination.shard_path.read_text() == spaced + "\n"
+
+    def test_dedup_and_torn_counts_with_copied_lines(self, tmp_path, results):
+        destination = ResultStore(tmp_path / "destination")
+        destination.append(results[0])
+        source = ResultStore(tmp_path / "source")
+        for result in (results[0], results[1], results[1], results[2]):
+            source.append(result)
+        with open(source.shard_path, "a", encoding="utf-8") as handle:
+            handle.write(results[3].to_json()[:40])  # killed-writer tail
+        before = _lines(destination)
+        stats = destination.merge(source)
+        assert (stats.ingested, stats.deduped, stats.torn_lines_skipped) == (2, 2, 1)
+        copied = _lines(source)
+        assert _lines(destination) == before + [copied[1], copied[3]]
+
+    def test_append_document_runs_once_per_ingested_envelope(self, tmp_path, results):
+        source = ResultStore(tmp_path / "source")
+        for result in (results[0], results[0], results[1]):
+            source.append(result)
+        destination = ResultStore(tmp_path / "destination")
+        seen = []
+        original = destination.append_document
+
+        def spy(document, *args, **kwargs):
+            seen.append(document["experiment"])
+            return original(document, *args, **kwargs)
+
+        destination.append_document = spy
+        assert destination.merge(source).ingested == 2
+        assert seen == [results[0].experiment, results[1].experiment]
+
+    def test_bare_nan_line_raises_and_is_never_written(self, tmp_path, results):
+        source = ResultStore(tmp_path / "source")
+        source.append(results[0])
+        with open(source.shard_path, "a", encoding="utf-8") as handle:
+            handle.write(_poisoned_line(results[1]) + "\n")
+        assert len(source) == 2  # plain reads still accept the token
+        destination = ResultStore(tmp_path / "destination")
+        with pytest.raises(ValueError, match="NaN is not strict JSON"):
+            destination.merge(source)
+        assert "NaN" not in destination.shard_path.read_text()
+        assert len(destination) == 1

@@ -9,6 +9,7 @@ run a real stdlib server on the loopback interface.
 
 from __future__ import annotations
 
+import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -41,7 +42,13 @@ class TestParseShardLines:
         text = '{"a": 1}\n\n{"b": 2}\n{"torn": \n[1, 2, 3]\n'
         fetched = parse_shard_lines(text)
         assert fetched.documents == ({"a": 1}, {"b": 2})  # the list line is ignored
+        assert fetched.lines == ('{"a": 1}', '{"b": 2}')  # stripped, parallel to documents
         assert fetched.torn_lines_skipped == 1
+
+    def test_bare_non_finite_tokens_raise(self):
+        for token in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(ValueError, match=f"{token} is not strict JSON"):
+                parse_shard_lines('{"a": 1}\n{"b": %s}\n' % token)
 
 
 class TestFetchFile:
@@ -131,3 +138,52 @@ class TestMergeFromUris:
         assert stats.ingested == 2
         assert stats.deduped == 2  # the doubled lines deduplicate by result key
         assert stats.torn_lines_skipped == 1
+
+
+def _source_lines(source: ResultStore) -> list[str]:
+    return [line for path in source.shard_paths() for line in path.read_text().splitlines()]
+
+
+@pytest.fixture
+def two_shard_source(tmp_path):
+    """A store of three envelopes split over two shard files."""
+    source = ResultStore(tmp_path / "source", shard="shard-a.jsonl")
+    specs = _two_specs() + [ExperimentSpec(experiment="fig13", params={"step_feet": 8.0})]
+    Runner(telemetry=False).run_batch(specs[:2], store=source)
+    Runner(telemetry=False).run_batch(specs[2:], store=ResultStore(source.root, shard="shard-b.jsonl"))
+    return source
+
+
+class TestMergeCopiesBytes:
+    """A URI merge writes each ingested source line unchanged."""
+
+    def test_file_uri_directory(self, tmp_path, two_shard_source):
+        destination = ResultStore(tmp_path / "destination")
+        assert destination.merge(two_shard_source.root.resolve().as_uri()).ingested == 3
+        assert destination.shard_path.read_text().splitlines() == _source_lines(two_shard_source)
+
+    def test_file_uri_single_shard(self, tmp_path, two_shard_source):
+        destination = ResultStore(tmp_path / "destination")
+        assert destination.merge(two_shard_source.shard_path.resolve().as_uri()).ingested == 2
+        assert destination.shard_path.read_text() == two_shard_source.shard_path.read_text()
+
+    def test_http_uri_with_dedup_and_torn_tail(self, tmp_path, http_server, two_shard_source):
+        lines = _source_lines(two_shard_source)
+        (tmp_path / "served.jsonl").write_text("\n".join(lines + lines) + "\n" + lines[0][:30])
+        destination = ResultStore(tmp_path / "destination")
+        stats = destination.merge(f"{http_server}/served.jsonl")
+        assert (stats.ingested, stats.deduped, stats.torn_lines_skipped) == (3, 3, 1)
+        assert destination.shard_path.read_text().splitlines() == lines
+
+    @pytest.mark.parametrize("transport", ["file", "http"])
+    def test_bare_nan_line_raises_and_is_never_written(self, tmp_path, http_server, two_shard_source, transport):
+        [good, *_] = _source_lines(two_shard_source)
+        document = json.loads(good)
+        document["runtime_s"] = float("nan")
+        served = tmp_path / "served.jsonl"
+        served.write_text(good + "\n" + json.dumps(document) + "\n")
+        uri = served.resolve().as_uri() if transport == "file" else f"{http_server}/served.jsonl"
+        destination = ResultStore(tmp_path / "destination")
+        with pytest.raises(ValueError, match="NaN is not strict JSON"):
+            destination.merge(uri)
+        assert not destination.shard_path.exists()  # the fetch fails before any line is written
