@@ -44,7 +44,6 @@ def test_batched_100k_device_fleet(benchmark, paper_report):
         duration_s=DURATION_S,
         period_s=PERIOD_S,
         seed=2016,
-        engine="batched",
         mac_params={"queue_limit": 8},
     )
     state: dict = {}

@@ -15,7 +15,7 @@ and every lookup helper calls it, so user code never has to.
 from __future__ import annotations
 
 import inspect
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -33,24 +33,20 @@ __all__ = [
 ]
 
 #: Engine names any experiment may declare.  ``batched`` is the epoch-batched
-#: netsim engine; ``reference`` its scalar epoch oracle (the differential
-#: tests' trusted twin, exposed so campaigns can cross-check engines).
-KNOWN_ENGINES = ("scalar", "batch", "fast_path", "batched", "reference")
+#: netsim engine.
+KNOWN_ENGINES = ("scalar", "batch", "fast_path", "batched")
 
 _REGISTRY: dict[str, "Experiment"] = {}
 _LOADED = False
 
 
-def resolve_engine(
-    experiment: str, engine: str, engines: Mapping[str, Callable[..., Any] | None]
-) -> Callable[..., Any] | None:
+def resolve_engine(experiment: str, engine: str, engines: Mapping[str, Callable[..., Any]]) -> Callable[..., Any]:
     """Resolve *engine* against an experiment's capability table.
 
     This is the **single** place an unsupported-engine error originates —
     drivers and the Runner both funnel through it instead of carrying
     their own ``if engine not in (...)`` checks.  Returns the registered
-    implementation callable (``None`` when the entry was declared by name
-    only).
+    implementation callable.
     """
     try:
         return engines[engine]
@@ -84,11 +80,10 @@ class Experiment:
         The driver's ``run`` callable; returns the native payload dataclass.
     engines:
         Declarative engine capability table: engine name → implementation
-        callable (or ``None`` for entries declared by name only).  The
-        first key is the default engine.  ``python -m repro info`` lists
-        engines (and, for backend-aware drivers, array backends) from this
-        same structure, and every unsupported-engine error funnels through
-        :func:`resolve_engine`.
+        callable.  The first key is the default engine.  ``python -m repro
+        info`` lists engines (and, for backend-aware drivers, array
+        backends) from this same structure, and every unsupported-engine
+        error funnels through :func:`resolve_engine`.
     artifact:
         Paper artefact label (``"Fig. 11"``), or ``None`` for
         beyond-the-paper workloads such as the MAC scaling sweep.
@@ -113,9 +108,7 @@ class Experiment:
     name: str
     title: str
     run: Callable[..., Any]
-    engines: Mapping[str, Callable[..., Any] | None] = field(
-        default_factory=lambda: {"scalar": None}
-    )
+    engines: Mapping[str, Callable[..., Any]]
     artifact: str | None = None
     fast_params: dict[str, Any] = field(default_factory=dict)
     summarize: Callable[[Any], list[str]] | None = None
@@ -205,25 +198,21 @@ def register(
     name: str,
     title: str,
     run: Callable[..., Any],
-    engines: Mapping[str, Callable[..., Any] | None] | Sequence[str] = ("scalar",),
+    engines: Mapping[str, Callable[..., Any]],
     artifact: str | None = None,
     fast_params: dict[str, Any] | None = None,
     summarize: Callable[[Any], list[str]] | None = None,
     metrics: Callable[[Any], dict[str, float]] | None = None,
     plot: Callable[[Any], Any] | None = None,
 ) -> Experiment:
-    """Register a driver; called once at the bottom of each driver module.
+    """Register a driver; called at the bottom of each driver module.
 
-    ``engines`` is preferably a capability table mapping each engine name
-    to its implementation callable (a plain name sequence is still
-    accepted and stored with ``None`` implementations).
+    ``engines`` is the capability table mapping each engine name to its
+    implementation callable; its first key is the default engine.
     """
     if name in _REGISTRY:
         raise ConfigurationError(f"experiment {name!r} is already registered")
-    if isinstance(engines, Mapping):
-        table: dict[str, Callable[..., Any] | None] = dict(engines)
-    else:
-        table = {engine: None for engine in engines}
+    table = dict(engines)
     if not table:
         raise ConfigurationError(f"experiment {name!r} must declare at least one engine")
     unknown = sorted(set(table) - set(KNOWN_ENGINES))

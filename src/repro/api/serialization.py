@@ -97,7 +97,11 @@ def _decode_ndarray(node: dict) -> np.ndarray:
     dtype = np.dtype(node["dtype"])
     shape = tuple(node["shape"])
     if "real" in node:
-        flat = _decode_values(node["real"]).astype(float) + 1j * _decode_values(node["imag"]).astype(float)
+        # Assign the parts: ``real + 1j * imag`` would turn 1+infj into
+        # nan+infj, because ``1j * inf`` has a NaN real part.
+        flat = np.empty(len(node["real"]), dtype=dtype)
+        flat.real = _decode_values(node["real"])
+        flat.imag = _decode_values(node["imag"])
     else:
         flat = _decode_values(node["data"])
     return flat.astype(dtype).reshape(shape)

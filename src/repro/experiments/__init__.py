@@ -36,7 +36,8 @@ Module                      Paper artefact
 ``table_power``             §3      — 28 µW IC power breakdown
 ``table_packet_sizes``      §2.3.3  — Wi-Fi payload per BLE advertisement
 ``mac_scaling``             beyond  — fleet size × MAC policy sweep
-``mac_density``             beyond  — delivery vs density, epoch engine
+                            (``mac_scaling``), and delivery vs density
+                            on the epoch engine (``mac_density``)
 ``coded_ofdm``              beyond  — hard vs soft Viterbi over AWGN
 =========================  ============================================
 """
@@ -53,7 +54,6 @@ from repro.experiments import (
     fig15_contact_lens,
     fig16_neural_implant,
     fig17_card_to_card,
-    mac_density,
     mac_scaling,
     table_packet_sizes,
     table_power,
@@ -71,7 +71,6 @@ __all__ = [
     "fig15_contact_lens",
     "fig16_neural_implant",
     "fig17_card_to_card",
-    "mac_density",
     "mac_scaling",
     "table_packet_sizes",
     "table_power",

@@ -15,7 +15,7 @@ implants or payment cards share one single-tone carrier":
   the :mod:`repro.apps` profiles with ring placement geometry.
 * :mod:`repro.netsim.batched` — epoch-batched execution for 10^5-device
   fleets: per-device MAC state in numpy arrays, one vectorised medium pass
-  per epoch, plus the scalar epoch oracle the differential tests trust.
+  per epoch.
 * :mod:`repro.netsim.metrics` — per-device and aggregate throughput, PER,
   delivery ratio, medium utilization and latency percentiles.
 
@@ -53,14 +53,7 @@ from repro.netsim.fleet import (
     neural_implant_profile,
     ring_placement,
 )
-from repro.netsim.batched import (
-    EPOCH_ENGINES,
-    BatchedFleetSimulator,
-    EpochMacParams,
-    EpochReferenceSimulator,
-    resolve_epoch_mac,
-    simulate,
-)
+from repro.netsim.batched import BatchedFleetSimulator, EpochMacParams, resolve_epoch_mac
 from repro.netsim.metrics import AggregateMetrics, DeviceStats, FleetMetrics
 
 __all__ = [
@@ -87,11 +80,8 @@ __all__ = [
     "FleetSimulator",
     "SimDevice",
     "BatchedFleetSimulator",
-    "EpochReferenceSimulator",
     "EpochMacParams",
-    "EPOCH_ENGINES",
     "resolve_epoch_mac",
-    "simulate",
     "DeviceStats",
     "AggregateMetrics",
     "FleetMetrics",

@@ -208,6 +208,10 @@ def ring_placement(
 class FleetScenario:
     """One reproducible multi-device experiment configuration.
 
+    The engine is chosen by the simulator the scenario is handed to:
+    :class:`FleetSimulator` (continuous-time heap engine) or
+    :class:`repro.netsim.batched.BatchedFleetSimulator` (epoch engine).
+
     Attributes
     ----------
     profile:
@@ -235,11 +239,6 @@ class FleetScenario:
         (table lookup + Bernoulli draw) instead of evaluating the analytic
         PHY error model per packet.  Statistically equivalent up to the
         table's 0.25 dB SINR binning; essential for 1000+ device fleets.
-    engine:
-        Execution engine ``repro.netsim.batched.simulate`` dispatches on:
-        ``"scalar"`` (this module's continuous-time heap engine),
-        ``"batched"`` (vectorised epoch engine) or ``"reference"`` (the
-        scalar epoch oracle the differential tests trust).
     """
 
     profile: TrafficProfile | str = "contact_lens"
@@ -251,7 +250,6 @@ class FleetScenario:
     period_s: float | None = None
     mac_params: dict = field(default_factory=dict)
     phy_fast_path: bool = False
-    engine: str = "scalar"
 
     def resolved_profile(self) -> TrafficProfile:
         """The concrete profile, with any period override applied."""

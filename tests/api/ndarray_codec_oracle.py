@@ -51,9 +51,9 @@ def decode_ndarray(node: dict) -> np.ndarray:
     dtype = np.dtype(node["dtype"])
     shape = tuple(node["shape"])
     if "real" in node:
-        flat = np.asarray(restore_numbers(node["real"]), dtype=float) + 1j * np.asarray(
-            restore_numbers(node["imag"]), dtype=float
-        )
+        flat = np.empty(len(node["real"]), dtype=dtype)
+        flat.real = np.asarray(restore_numbers(node["real"]), dtype=float)
+        flat.imag = np.asarray(restore_numbers(node["imag"]), dtype=float)
     else:
         flat = np.asarray(restore_numbers(node["data"]))
     return flat.astype(dtype).reshape(shape)

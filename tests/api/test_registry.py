@@ -51,7 +51,7 @@ class TestMetadata:
 
     def test_mac_density_declares_epoch_engines(self):
         experiment = get_experiment("mac_density")
-        assert experiment.engine_names == ("batched", "reference")
+        assert experiment.engine_names == ("batched",)
         assert experiment.default_engine == "batched"
 
     def test_coded_ofdm_is_batch_only(self):
@@ -100,12 +100,12 @@ class TestValidation:
     def test_duplicate_registration_rejected(self):
         existing = get_experiment("fig11")
         with pytest.raises(ConfigurationError, match="already registered"):
-            register(name="fig11", title="dup", run=existing.run)
+            register(name="fig11", title="dup", run=existing.run, engines={"scalar": existing.run})
 
     def test_unknown_engine_rejected_at_registration(self):
         existing = get_experiment("fig11")
         with pytest.raises(ConfigurationError, match="unknown engines"):
-            register(name="brand_new", title="x", run=existing.run, engines=("warp",))
+            register(name="brand_new", title="x", run=existing.run, engines={"warp": existing.run})
 
     def test_experiment_is_callable(self):
         result = get_experiment("table_packet_sizes")()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import get_experiment
 from repro.experiments import (
     fig06_sideband,
     fig09_single_tone,
@@ -21,7 +22,6 @@ from repro.experiments import (
     fig15_contact_lens,
     fig16_neural_implant,
     fig17_card_to_card,
-    mac_density,
     mac_scaling,
     table_packet_sizes,
     table_power,
@@ -167,7 +167,7 @@ class TestMacScaling:
 class TestMacDensity:
     @pytest.fixture(scope="class")
     def result(self):
-        return mac_density.run(
+        return mac_scaling.run_density(
             densities=(5, 25, 75), macs=("aloha", "tdma"), period_s=0.005, duration_s=1.0
         )
 
@@ -184,6 +184,7 @@ class TestMacDensity:
         assert tdma[-1] > aloha[-1]
 
     def test_driver_hooks_cover_every_mac(self, result):
+        mac_density = get_experiment("mac_density")
         lines = mac_density.summarize(result)
         assert len(lines) == len(result.macs) + 1
         scalars = mac_density.metrics(result)
@@ -192,10 +193,10 @@ class TestMacDensity:
         assert len(figure.series) == len(result.macs)
 
     def test_contention_knobs_reach_the_epoch_mac(self):
-        strict = mac_density.run(
+        strict = mac_scaling.run_density(
             densities=(25,), macs=("aloha",), period_s=0.005, duration_s=0.5, max_attempts=1
         )
-        lax = mac_density.run(
+        lax = mac_scaling.run_density(
             densities=(25,), macs=("aloha",), period_s=0.005, duration_s=0.5, max_attempts=8
         )
         # A deeper retry ladder means strictly more attempts on a saturated channel.
@@ -205,4 +206,4 @@ class TestMacDensity:
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            mac_density.run(densities=(5,), macs=("aloha",), duration_s=0.2, engine="scalar")
+            mac_scaling.run_density(densities=(5,), macs=("aloha",), duration_s=0.2, engine="scalar")

@@ -12,13 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.netsim.batched import (
-    EPOCH_ENGINES,
-    BatchedFleetSimulator,
-    EpochReferenceSimulator,
-    resolve_epoch_mac,
-    simulate,
-)
+from repro.netsim.batched import BatchedFleetSimulator, resolve_epoch_mac
 from repro.netsim.fleet import FleetScenario
 
 
@@ -86,18 +80,6 @@ def test_epoch_must_cover_one_air_time():
 def test_degenerate_scenarios_are_rejected(overrides):
     with pytest.raises(ConfigurationError):
         BatchedFleetSimulator(_scenario(**overrides))
-
-
-def test_simulate_rejects_unknown_engine():
-    with pytest.raises(ConfigurationError):
-        simulate(_scenario(engine="warp_drive"))
-
-
-def test_engine_table_names_both_epoch_engines():
-    assert EPOCH_ENGINES == {
-        "batched": BatchedFleetSimulator,
-        "reference": EpochReferenceSimulator,
-    }
 
 
 def test_epoch_trace_disabled_by_default():

@@ -1,7 +1,7 @@
 """Differential lockdown: batched epoch engine vs its scalar oracle.
 
 The vectorised :class:`repro.netsim.batched.BatchedFleetSimulator` and the
-scalar :class:`repro.netsim.batched.EpochReferenceSimulator` implement one
+scalar :class:`tests.netsim.epoch_reference.EpochReferenceSimulator` implement one
 documented epoch contract (see the module docstring of
 :mod:`repro.netsim.batched`).  These tests pin the two engines to each
 other **bit-for-bit** — per-device counters, byte totals and latency sums
@@ -18,12 +18,9 @@ import pytest
 
 from repro.api import Runner
 from repro.api.store import invocation_key
-from repro.netsim.batched import (
-    BatchedFleetSimulator,
-    EpochReferenceSimulator,
-    simulate,
-)
+from repro.netsim.batched import BatchedFleetSimulator
 from repro.netsim.fleet import FleetScenario
+from tests.netsim.epoch_reference import EpochReferenceSimulator
 
 SEEDS = (1, 7, 2016, 90210, 424242)
 
@@ -103,45 +100,44 @@ def test_engines_bit_identical_on_bursty_profile(seed, mac):
     assert batched == reference
 
 
-def test_simulate_dispatches_on_scenario_engine():
-    kwargs = dict(
-        profile="contact_lens", num_devices=6, mac="slotted_aloha", duration_s=0.3, seed=9
-    )
-    batched = simulate(FleetScenario(engine="batched", **kwargs))
-    reference = simulate(FleetScenario(engine="reference", **kwargs))
-    assert batched.fingerprint() == reference.fingerprint()
-
-
 _FAST_DENSITY = {"densities": (5, 10, 25), "period_s": 0.005, "duration_s": 0.5}
+
+#: mac_density contention settings: the defaults, then all three moved.
+_CONTENTION = ({}, {"cca_reliability": 0.8, "max_attempts": 2, "duty_cycle": 0.2})
+
+_SERIES = ("delivery_ratio", "throughput_bps", "attempt_per", "utilization", "latency_p50_s")
 
 
 def test_mac_density_payloads_identical_across_engines():
+    # The Runner's mac_density payload against the same scenarios run one
+    # by one on the oracle: pins how the driver builds each scenario and
+    # forwards its contention settings to the epoch MACs.
     runner = Runner()
-    batched = runner.run("mac_density", params=dict(_FAST_DENSITY), engine="batched")
-    reference = runner.run("mac_density", params=dict(_FAST_DENSITY), engine="reference")
-    for mac in batched.payload.macs:
-        for metric in ("delivery_ratio", "throughput_bps", "attempt_per", "utilization"):
-            assert np.array_equal(
-                getattr(batched.payload, metric)[mac],
-                getattr(reference.payload, metric)[mac],
-            ), (mac, metric)
-
-
-def test_cross_engine_envelopes_differ_only_in_engine():
-    # The invocation identity (experiment, seed, params) of the same sweep
-    # run on two engines must agree on everything except the engine field,
-    # so stores keep both runs side by side under comparable keys.
-    runner = Runner()
-    results = [
-        runner.run("mac_density", params=dict(_FAST_DENSITY), engine=engine)
-        for engine in ("batched", "reference")
-    ]
-    keys = {
-        invocation_key(r.experiment, "<engine>", r.seed, r.params, backend=r.backend)
-        for r in results
-    }
-    assert len(keys) == 1
-    assert {r.engine for r in results} == {"batched", "reference"}
+    for contention in _CONTENTION:
+        payload = runner.run("mac_density", params={**_FAST_DENSITY, **contention}).payload
+        settings = {"duty_cycle": 1.0, "cca_reliability": 1.0, "max_attempts": 8, **contention}
+        assert {name: getattr(payload, name) for name in settings} == settings
+        for mac in payload.macs:
+            mac_params = {"duty_cycle": settings["duty_cycle"], "max_attempts": settings["max_attempts"]}
+            if mac == "csma":
+                mac_params["cca_reliability"] = settings["cca_reliability"]
+            for index, density in enumerate(_FAST_DENSITY["densities"]):
+                scenario = FleetScenario(
+                    profile="contact_lens",
+                    num_devices=density,
+                    mac=mac,
+                    duration_s=_FAST_DENSITY["duration_s"],
+                    period_s=_FAST_DENSITY["period_s"],
+                    seed=payload.seed,
+                    mac_params=mac_params,
+                )
+                expected = EpochReferenceSimulator(scenario).run().aggregate()
+                for metric in _SERIES:
+                    np.testing.assert_array_equal(
+                        getattr(payload, metric)[mac][index],
+                        getattr(expected, metric),
+                        err_msg=f"{contention} {mac} n={density} {metric}",
+                    )
 
 
 def test_mac_scaling_envelopes_comparable_across_engines():

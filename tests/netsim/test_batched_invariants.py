@@ -25,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.netsim.batched import BatchedFleetSimulator, EpochReferenceSimulator
+from repro.netsim.batched import BatchedFleetSimulator
 from repro.netsim.fleet import FleetScenario
+from tests.netsim.epoch_reference import EpochReferenceSimulator
 
 TRIALS = 25
 
