@@ -14,25 +14,19 @@ Subcommands
     One line per registered array backend (:mod:`repro.mc.backend`):
     name, default marker, simulated flag, description.  ``--json`` emits
     the same as machine-readable JSON.
-``run NAME [NAME ...]``
-    Execute experiments through the :class:`repro.api.Runner` and print
-    each one's headline summary.  ``--engine``/``--seed``/``--backend``
-    set the dispatch policy, ``--set key=value`` overrides individual
+``run NAME [NAME ...]`` / ``run --all`` / ``run --specs GRID.json``
+    Expand a batch of specs and execute it in one
+    :meth:`repro.api.Runner.run_batch` call, printing a progress line
+    and the headline summary per result.  Names (or ``--all``, the whole
+    paper) give one spec each: ``--fast`` applies the experiment's
+    reduced smoke parameters and ``--set key=value`` overrides single
     parameters (values parsed as JSON, then as Python literals, then as
-    bare strings), ``--fast`` applies each experiment's reduced smoke
-    parameters, ``--json PATH`` writes a single result envelope and
-    ``--json-dir DIR`` one ``<name>.json`` per result.
-``run --all``
-    The same for every registered experiment — the whole paper in one
-    command.  ``--validate`` round-trips every envelope through the JSON
-    schema and fails on any mismatch (the CI smoke job runs this).
-``run --specs GRID.json``
-    Execute a declarative campaign: each JSON document's sweeps/specs
-    expand to a batch (see :mod:`repro.api.campaign`; ``--specs`` is
-    repeatable — batches concatenate in order, duplicates are rejected).
-    ``--jobs N`` shards any batch (``--specs`` or ``--all``) across N
-    worker processes — bit-identical results regardless of N — and
-    ``--store DIR`` streams the envelopes into a
+    bare strings).  ``--specs`` expands declarative grid documents (see
+    :mod:`repro.api.campaign`; repeatable — batches concatenate in
+    order, duplicates are rejected).  ``--engine``/``--seed``/``--backend``
+    set the dispatch policy for every batch.  ``--jobs N`` shards the
+    batch across N worker processes — bit-identical results regardless
+    of N — and ``--store DIR`` streams the envelopes into a
     :class:`~repro.api.store.ResultStore` (reruns skip work the store
     already holds).  One resume rule: a stored result is reused when its
     key — invocation + the ``repro`` package code digest — matches, so
@@ -40,7 +34,11 @@ Subcommands
     behavioural edit; ``--no-resume`` forces re-execution.  ``--shard-index
     I --shard-count N`` executes one deterministic slice of the expanded
     batch (:mod:`repro.fabric.slicing`) and ``--manifest PATH`` records
-    the shard's campaign manifest for fan-in validation.
+    the shard's campaign manifest for fan-in validation, whichever way
+    the batch was given.  ``--json PATH`` writes the envelope of a batch
+    of exactly one result; ``--validate`` round-trips every freshly
+    executed envelope through the JSON schema and fails on any mismatch
+    (the CI smoke job runs this).
 ``report --store DIR``
     Regenerate the registry-driven paper-vs-measured ``EXPERIMENTS.md``
     from a result store.  ``--check`` verifies the committed document is
@@ -96,7 +94,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.api.registry import Experiment, get_experiment, iter_experiments
+from repro.api.registry import get_experiment, iter_experiments
 from repro.api.report import check_report, generate_report, write_report
 from repro.api.result import Result, validate_result_dict
 from repro.api.runner import Runner
@@ -195,14 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="I",
-        help="with --specs: execute only shard I of --shard-count disjoint slices of the expanded batch",
+        help="execute only shard I of --shard-count disjoint slices of the expanded batch",
     )
     run_parser.add_argument(
         "--shard-count",
         type=int,
         default=None,
         metavar="N",
-        help="with --specs: total number of shards the batch is sliced into",
+        help="total number of shards the batch is sliced into",
     )
     run_parser.add_argument(
         "--engine", default=None, help="engine to dispatch to (scalar/batch/fast_path/batched/reference)"
@@ -221,9 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parameter override (repeatable; value parsed as JSON, then as a Python literal)",
     )
     run_parser.add_argument("--fast", action="store_true", help="use each experiment's reduced smoke parameters")
-    run_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes for batch runs (--all / --specs)"
-    )
+    run_parser.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes for the batch")
     run_parser.add_argument(
         "--store", default=None, metavar="DIR", help="append result envelopes to this store (resumes partial runs)"
     )
@@ -237,16 +233,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--manifest",
         default=None,
         metavar="PATH",
-        help="with --specs: write a campaign manifest for this (shard of the) run after it completes",
+        help="write a campaign manifest for this (shard of the) run after it completes",
     )
-    run_parser.add_argument("--json", dest="json_path", default=None, help="write the result envelope to this file")
-    run_parser.add_argument("--json-dir", default=None, help="write one <name>.json envelope per result here")
+    run_parser.add_argument(
+        "--json", dest="json_path", default=None, help="write the envelope of a one-result batch to this file"
+    )
     run_parser.add_argument(
         "--validate",
         action="store_true",
-        help="validate every envelope against the result schema and check the JSON round trip",
+        help="validate every freshly executed envelope against the result schema and check the JSON round trip",
     )
-    run_parser.add_argument("--quiet", action="store_true", help="suppress per-experiment summaries")
+    run_parser.add_argument("--quiet", action="store_true", help="suppress per-result progress and summaries")
 
     report_parser = sub.add_parser("report", help="regenerate EXPERIMENTS.md from a result store")
     report_parser.add_argument("--store", required=True, metavar="DIR", help="result store to report on")
@@ -408,8 +405,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     experiment = get_experiment(args.name)
     print(f"{experiment.name} — {experiment.title}")
-    if experiment.description:
-        print(experiment.description)
     print(f"module:  {experiment.module}")
     print(f"engines: {', '.join(experiment.engine_names)}")
     if experiment.takes_backend:
@@ -459,66 +454,77 @@ def _check_envelope(result: Result) -> None:
         raise ReproError(f"result for {result.experiment!r} did not survive the JSON round trip")
 
 
-def _emit(result: Result, experiment: Experiment, args: argparse.Namespace) -> None:
-    if args.validate:
-        _check_envelope(result)
-    if args.json_dir:
-        directory = Path(args.json_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{result.experiment}.json").write_text(result.to_json(indent=2))
-    if args.json_path:
-        Path(args.json_path).write_text(result.to_json(indent=2))
-    if not args.quiet:
-        print(f"== {experiment.title} [{result.engine}, {result.runtime_s:.2f} s] ==")
-        if experiment.summarize is not None:
-            for line in experiment.summarize(result.payload):
-                print(f"  {line}")
-        if args.validate:
-            print("  result envelope validated against the schema")
+def _named_spec(name: str, args: argparse.Namespace) -> ExperimentSpec:
+    """One spec for a named experiment: its fast parameters under ``--fast``, then ``--set``."""
+    params = dict(get_experiment(name).fast_params) if args.fast else {}
+    params.update(args.overrides)
+    return ExperimentSpec(experiment=name, params=params)
 
 
-def _run_campaign(
-    specs: list[ExperimentSpec],
-    args: argparse.Namespace,
-    *,
-    full_batch: list[ExperimentSpec] | None = None,
-) -> int:
-    """Batch path: sharded execution, optional store, one progress line per spec.
+def _cmd_run(args: argparse.Namespace) -> int:
+    if sum([bool(args.names), args.all, args.specs is not None]) != 1:
+        print("error: give experiment names, --all, or --specs (exactly one)", file=sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 2
+    if (args.shard_index is None) != (args.shard_count is None):
+        print("error: --shard-index and --shard-count come as a pair", file=sys.stderr)
+        return 2
+    if args.specs is not None and (args.overrides or args.fast):
+        print("error: --set/--fast do not apply to --specs (edit the grid document)", file=sys.stderr)
+        return 2
+    if args.overrides and (args.all or len(args.names) > 1):
+        print("error: --set applies to a single experiment", file=sys.stderr)
+        return 2
 
-    ``full_batch`` is the whole expanded grid when *specs* is a shard
-    slice of it — the campaign manifest hashes the full batch so shards
-    of different grids can never be fanned back in together.
-    """
+    if args.specs is not None:
+        batch = read_spec_files(args.specs)
+    else:
+        names = [e.name for e in iter_experiments()] if args.all else args.names
+        batch = [_named_spec(name, args) for name in names]
+    # The manifest hashes the full batch, so shards of different batches
+    # can never be fanned back in together.
+    shard_index, shard_count = (0, 1) if args.shard_count is None else (args.shard_index, args.shard_count)
+    specs = shard_slice(batch, shard_index, shard_count)
+    if args.json_path and len(specs) != 1:
+        print(f"error: --json takes a batch of exactly one result, got {len(specs)}; use --store", file=sys.stderr)
+        return 2
+
     store = ResultStore(args.store) if args.store else None
     runner = Runner(seed=args.seed, engine=args.engine, backend=args.backend, jobs=args.jobs)
-    total = len(specs)
-    counts = {"ran": 0, "cached": 0}
+    executed = 0
 
     def on_result(index: int, result: Result, was_cached: bool) -> None:
-        counts["cached" if was_cached else "ran"] += 1
-        if args.validate and not was_cached:
-            _check_envelope(result)
-        if not args.quiet:
-            state = "cached" if was_cached else f"{result.runtime_s:.2f} s"
-            seed = f" seed={result.seed}" if result.seed is not None else ""
-            print(f"[{index + 1}/{total}] {result.experiment} [{result.engine}]{seed} {state}")
+        nonlocal executed
+        if not was_cached:
+            executed += 1
+            if args.validate:
+                _check_envelope(result)
+        if args.quiet:
+            return
+        state = "cached" if was_cached else f"{result.runtime_s:.2f} s"
+        seed = f" seed={result.seed}" if result.seed is not None else ""
+        print(f"[{index + 1}/{len(specs)}] {result.experiment} [{result.engine}]{seed} {state}")
+        summarize = get_experiment(result.experiment).summarize
+        for line in summarize(result.payload) if summarize is not None else ():
+            print(f"  {line}")
 
     # The campaign collector sees what no per-run document can: cache
     # hits and misses happen in this process, between driver calls.  It
     # lands in the store's telemetry sidecar, never inside an envelope.
     collector = Collector()
     with collector.activate():
-        runner.run_batch(specs, store=store, resume=not args.no_resume, on_result=on_result)
+        results = runner.run_batch(specs, store=store, resume=not args.no_resume, on_result=on_result)
     if store is not None and collector.counters:
         store.append_campaign_telemetry(collector.to_dict())
-    summary = f"{counts['ran']} executed, {counts['cached']} reused"
+    summary = f"{executed} executed, {len(specs) - executed} reused"
     if store is not None:
         summary += f"; store {store.root} now holds {len(store)} result(s)"
-    print(f"campaign: {total} spec(s), {summary}")
+    print(f"campaign: {len(specs)} spec(s), {summary}")
+    if args.json_path:
+        Path(args.json_path).write_text(results[0].to_json(indent=2))
     if args.manifest:
-        batch = full_batch if full_batch is not None else specs
-        shard_count = args.shard_count if args.shard_count is not None else 1
-        shard_index = args.shard_index if args.shard_index is not None else 0
         manifest = CampaignManifest(
             grid_hash=grid_hash(batch),
             spec_count=len(batch),
@@ -528,7 +534,7 @@ def _run_campaign(
                     index=shard_index,
                     status="complete",
                     uri=Path(store.root).resolve().as_uri() if store is not None else None,
-                    result_count=total,
+                    result_count=len(specs),
                 ),
             ),
         )
@@ -537,68 +543,6 @@ def _run_campaign(
             f"wrote manifest {args.manifest} "
             f"(shard {shard_index + 1}/{shard_count}, grid {manifest.grid_hash[:12]})"
         )
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    modes = sum([bool(args.names), args.all, args.specs is not None])
-    if modes != 1:
-        print("error: give experiment names, --all, or --specs (exactly one)", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if (args.shard_index is None) != (args.shard_count is None):
-        print("error: --shard-index and --shard-count come as a pair", file=sys.stderr)
-        return 2
-    if args.shard_count is not None and args.specs is None:
-        print("error: --shard-index/--shard-count require --specs", file=sys.stderr)
-        return 2
-    if args.manifest is not None and args.specs is None:
-        print("error: --manifest requires --specs (the manifest records the grid identity)", file=sys.stderr)
-        return 2
-    overrides = dict(args.overrides)
-
-    if args.specs is not None:
-        if overrides or args.fast:
-            print("error: --set/--fast do not apply to --specs (edit the grid document)", file=sys.stderr)
-            return 2
-        if args.json_path or args.json_dir:
-            print("error: use --store (not --json/--json-dir) with --specs", file=sys.stderr)
-            return 2
-        batch = read_spec_files(args.specs)
-        selected = batch
-        if args.shard_count is not None:
-            selected = shard_slice(batch, args.shard_index, args.shard_count)
-        return _run_campaign(selected, args, full_batch=batch)
-
-    names = [e.name for e in iter_experiments()] if args.all else args.names
-    if args.json_path and len(names) > 1:
-        print("error: --json takes a single experiment; use --json-dir for several", file=sys.stderr)
-        return 2
-    if overrides and len(names) > 1:
-        print("error: --set applies to a single experiment", file=sys.stderr)
-        return 2
-
-    if args.jobs > 1 or args.store:
-        if args.json_path or args.json_dir:
-            print("error: use --store (not --json/--json-dir) with --jobs/--store runs", file=sys.stderr)
-            return 2
-        specs = []
-        for name in names:
-            experiment = get_experiment(name)
-            params = dict(experiment.fast_params) if args.fast else {}
-            params.update(overrides)
-            specs.append(ExperimentSpec(experiment=name, params=params))
-        return _run_campaign(specs, args)
-
-    runner = Runner(seed=args.seed, engine=args.engine, backend=args.backend)
-    for name in names:
-        experiment = get_experiment(name)
-        params = dict(experiment.fast_params) if args.fast else {}
-        params.update(overrides)
-        result = runner.run(name, params=params)
-        _emit(result, experiment, args)
     return 0
 
 
@@ -724,9 +668,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     experiment = get_experiment(args.name)
-    params = dict(experiment.fast_params) if args.fast else {}
-    params.update(dict(args.overrides))
-    result = Runner(seed=args.seed, engine=args.engine, backend=args.backend).run(args.name, params=params)
+    result = Runner(seed=args.seed, engine=args.engine, backend=args.backend).run(_named_spec(args.name, args))
     print(f"== {experiment.title} [{result.engine}, {result.runtime_s:.2f} s] ==")
     for line in format_span_tree(result.telemetry):
         print(line)

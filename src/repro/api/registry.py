@@ -122,12 +122,6 @@ class Experiment:
         return self.run.__module__
 
     @property
-    def description(self) -> str:
-        """First line of the driver module's docstring."""
-        doc = inspect.getmodule(self.run).__doc__ or self.run.__doc__ or ""
-        return doc.strip().splitlines()[0] if doc.strip() else ""
-
-    @property
     def takes_seed(self) -> bool:
         """Whether ``run`` accepts a ``seed`` keyword."""
         return any(p.name == "seed" for p in self.parameters)

@@ -46,11 +46,11 @@ reports and figures are byte-identical either way.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any
 
-from repro.api.registry import Experiment, iter_experiments, load_registry
+from repro.api.registry import Experiment, load_registry
 from repro.api.result import Result
 from repro.api.spec import ExperimentSpec
 from repro.api.store import ResultStore, document_content_key, invocation_key
@@ -106,9 +106,9 @@ class Runner:
         Default array backend for experiments that take one; ``None``
         falls back to :func:`repro.mc.backend.default_backend`.
     jobs:
-        Worker processes for :meth:`run_batch` / :meth:`run_all`.  ``1``
-        (the default) executes in-process; results are identical either
-        way because seeds are resolved per spec before dispatch.
+        Worker processes for :meth:`run_batch`.  ``1`` (the default)
+        executes in-process; results are identical either way because
+        seeds are resolved per spec before dispatch.
     telemetry:
         Whether to collect a :mod:`repro.obs` telemetry document per run
         and attach it to the envelope (default ``True``).  Payloads,
@@ -253,32 +253,6 @@ class Runner:
         with ProcessPoolExecutor(max_workers=self.jobs, initializer=load_registry) as executor:
             for index, document in zip(pending, executor.map(_run_spec_task, tasks, chunksize=chunksize), strict=True):
                 yield index, Result.from_dict(document)
-
-    def run_all(
-        self,
-        *,
-        fast: bool = False,
-        names: Sequence[str] | None = None,
-        store: ResultStore | None = None,
-        resume: bool = True,
-    ) -> list[Result]:
-        """Run every registered experiment (optionally with fast parameters).
-
-        ``names`` restricts the sweep; an unknown name raises rather than
-        being silently skipped.  Honours the runner's ``jobs`` and, like
-        :meth:`run_batch`, can stream into (and resume from) a store.
-        """
-        registered = [experiment.name for experiment in iter_experiments()]
-        if names is not None:
-            unknown = sorted(set(names) - set(registered))
-            if unknown:
-                raise ConfigurationError(f"unknown experiment(s) {unknown}; available: {registered}")
-        specs = [
-            ExperimentSpec(experiment=experiment.name, params=dict(experiment.fast_params) if fast else {})
-            for experiment in iter_experiments()
-            if names is None or experiment.name in names
-        ]
-        return self.run_batch(specs, store=store, resume=resume)
 
     def _resolve_identity(
         self, spec: ExperimentSpec

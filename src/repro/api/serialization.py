@@ -127,6 +127,24 @@ def _resolve_dataclass(path: str) -> type:
     return target
 
 
+def _check_fields(path: str, cls: type, names: set[str]) -> None:
+    """Raise when stored field *names* no longer fit dataclass *cls* (schema drift)."""
+    declared = {field.name: field for field in dataclasses.fields(cls) if field.init}
+    required = {
+        name
+        for name, field in declared.items()
+        if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING
+    }
+    missing = sorted(required - names)
+    unexpected = sorted(names - declared.keys())
+    if missing or unexpected:
+        raise ConfigurationError(
+            f"stored {path} does not match the current {cls.__qualname__} dataclass "
+            f"(missing field(s) {missing}, unexpected field(s) {unexpected}): the result was written "
+            f"by a different version of the code; rebuild the store"
+        )
+
+
 def encode(obj: Any) -> Any:
     """Encode *obj* into a strict-JSON-compatible tree."""
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -212,7 +230,12 @@ def decode(node: Any) -> Any:
             return {_freeze(decode(key)): decode(value) for key, value in node["items"]}
         if kind == "dataclass":
             cls = _resolve_dataclass(node["type"])
-            return cls(**{name: decode(value) for name, value in node["fields"].items()})
+            fields = {name: decode(value) for name, value in node["fields"].items()}
+            try:
+                return cls(**fields)
+            except TypeError:
+                _check_fields(node["type"], cls, set(fields))
+                raise
         raise ConfigurationError(f"unknown serialized node kind {kind!r}")
     raise ConfigurationError(f"cannot decode node of type {type(node).__name__}")
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.api import Result, ResultStore, payload_equal
+from repro.api import Result, ResultStore, iter_experiments, payload_equal
 from repro.api.cli import main
 from repro.experiments import fig11_per
 
@@ -34,6 +34,12 @@ class TestInfo:
         assert "engines: scalar, batch" in out
         assert "num_locations" in out
         assert "seed = 11" in out
+
+    def test_info_mac_density_does_not_print_the_mac_scaling_line(self, capsys):
+        assert main(["info", "mac_density"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mac_density — MAC density")
+        assert "fleet size vs delivery" not in out
 
     def test_info_unknown_experiment_fails(self, capsys):
         assert main(["info", "fig99"]) == 1
@@ -68,15 +74,44 @@ class TestRun:
         out = capsys.readouterr().out
         assert "28 µW" in out or "27.99" in out
 
-    def test_run_all_fast_validates_and_writes_dir(self, tmp_path, capsys):
-        code = main(["run", "--all", "--fast", "--validate", "--quiet", "--json-dir", str(tmp_path)])
+    def test_run_all_fast_validates_and_writes_store(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        code = main(["run", "--all", "--fast", "--validate", "--quiet", "--store", str(store_dir)])
         assert code == 0
-        written = sorted(path.stem for path in tmp_path.glob("*.json"))
-        assert len(written) == 15
-        for path in tmp_path.glob("*.json"):
-            document = json.loads(path.read_text())
-            assert document["schema_version"] == 1
-            assert document["experiment"] == path.stem
+        documents = list(ResultStore(store_dir).iter_documents())
+        assert sorted(document["experiment"] for document in documents) == sorted(
+            experiment.name for experiment in iter_experiments()
+        )
+        assert all(document["schema_version"] == 1 for document in documents)
+
+    def test_store_with_json_writes_both(self, tmp_path, capsys):
+        store_dir, out_path = tmp_path / "store", tmp_path / "fig13.json"
+        args = ["run", "fig13", "--fast", "--store", str(store_dir), "--json", str(out_path)]
+        assert main(args) == 0
+        (stored,) = ResultStore(store_dir).iter_documents()
+        assert json.loads(out_path.read_text()) == stored
+        out_path.unlink()
+        assert main(args) == 0  # a warm rerun writes the reused envelope
+        assert "0 executed, 1 reused" in capsys.readouterr().out
+        assert json.loads(out_path.read_text()) == stored
+
+    def test_unstored_and_stored_runs_give_equal_payloads(self, tmp_path):
+        out_path, store_dir = tmp_path / "fig13.json", tmp_path / "store"
+        assert main(["run", "fig13", "--fast", "--quiet", "--json", str(out_path)]) == 0
+        assert main(["run", "fig13", "--fast", "--quiet", "--store", str(store_dir)]) == 0
+        (stored,) = ResultStore(store_dir).iter_results()
+        assert Result.from_json(out_path.read_text()).same_payload(stored)
+
+    def test_progress_line_precedes_the_summary(self, capsys):
+        assert main(["run", "fig13", "--fast", "--seed", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[1/1] fig13 [scalar] seed=5 ")
+        assert lines[1].startswith("  BER < 1%")
+        assert lines[-1] == "campaign: 1 spec(s), 1 executed, 0 reused"
+
+    def test_quiet_prints_only_the_campaign_line(self, capsys):
+        assert main(["run", "table_power", "fig13", "--fast", "--quiet"]) == 0
+        assert capsys.readouterr().out == "campaign: 2 spec(s), 2 executed, 0 reused\n"
 
     def test_seed_flag_is_recorded(self, tmp_path):
         out_path = tmp_path / "out.json"
@@ -148,6 +183,19 @@ class TestCampaigns:
         assert main(["report", "--store", str(store_dir), "--output", str(doc), "--check"]) == 1
         assert "out of date" in capsys.readouterr().err
 
+    def test_report_over_a_drifted_store_fails_cleanly(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        main(["run", "table_power", "--store", str(store_dir), "--quiet"])
+        (shard,) = store_dir.glob("*.jsonl")
+        document = json.loads(shard.read_text())
+        del document["payload"]["fields"]["reference"]  # the dataclass gained a field since
+        shard.write_text(json.dumps(document) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--store", str(store_dir), "--output", "-"]) == 1
+        err = capsys.readouterr().err
+        assert "PowerTableResult dataclass (missing field(s) ['reference']" in err
+        assert "rebuild the store" in err
+
     def test_report_to_stdout(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         main(["run", "table_power", "--store", str(store_dir), "--quiet"])
@@ -215,13 +263,6 @@ class TestErrors:
         grid = _write_grid(tmp_path)
         assert main(["run", "--specs", str(grid), "--set", "x=1"]) == 2
 
-    def test_specs_with_json_dir_fails(self, tmp_path):
-        grid = _write_grid(tmp_path)
-        assert main(["run", "--specs", str(grid), "--json-dir", str(tmp_path)]) == 2
-
-    def test_store_with_json_fails(self, tmp_path):
-        assert main(["run", "fig11", "--store", str(tmp_path / "s"), "--json", str(tmp_path / "x.json")]) == 2
-
     def test_bad_jobs_fails(self):
         assert main(["run", "--all", "--jobs", "0"]) == 2
 
@@ -231,6 +272,7 @@ class TestErrors:
 
     def test_single_json_with_multiple_names_fails(self, tmp_path, capsys):
         assert main(["run", "fig11", "fig13", "--json", str(tmp_path / "x.json")]) == 2
+        assert "exactly one result" in capsys.readouterr().err
 
     def test_overrides_with_multiple_names_fail(self):
         assert main(["run", "table_power", "table_packet_sizes", "--set", "x=1"]) == 2

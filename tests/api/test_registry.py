@@ -74,7 +74,6 @@ class TestMetadata:
             assert experiment.title
             assert experiment.summarize is not None
             assert experiment.parameters
-            assert experiment.description
 
     def test_seed_introspection(self):
         fig11 = get_experiment("fig11")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, Runner, payload_equal
+from repro.api import ExperimentSpec, Runner, get_experiment, payload_equal
 from repro.exceptions import ConfigurationError
 
 
@@ -118,17 +118,22 @@ class TestSpecs:
         assert result.seed == 123
 
 
-class TestRunAll:
-    def test_run_all_fast_covers_every_experiment(self):
-        results = Runner().run_all(fast=True, names=["table_power", "table_packet_sizes", "fig13"])
+class TestNamedBatch:
+    def test_fast_batch_covers_every_named_experiment(self):
+        specs = [
+            ExperimentSpec(name, params=dict(get_experiment(name).fast_params))
+            for name in ("table_power", "table_packet_sizes", "fig13")
+        ]
+        results = Runner().run_batch(specs)
         assert sorted(r.experiment for r in results) == ["fig13", "table_packet_sizes", "table_power"]
         for result in results:
             assert result.runtime_s >= 0.0
             assert result.payload is not None
 
-    def test_run_all_rejects_unknown_names(self):
+    def test_batch_rejects_unknown_names_before_running(self, monkeypatch):
+        monkeypatch.setattr(Runner, "_execute", lambda self, spec: pytest.fail("ran before validation"))
         with pytest.raises(ConfigurationError, match="fig9"):
-            Runner().run_all(names=["fig9"])
+            Runner().run_batch([ExperimentSpec("table_power"), ExperimentSpec("fig9")])
 
 
 class TestPlacementHelpers:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api.serialization import decode, encode, payload_equal, validate_encoded
 from repro.exceptions import ConfigurationError
+from repro.experiments import table_power
 from repro.utils.spectrum import PowerSpectrum
 
 
@@ -113,6 +114,27 @@ class TestDataclasses:
 
         node = encode(Local(x=1))
         with pytest.raises(ConfigurationError):
+            decode(node)
+
+
+class TestSchemaDrift:
+    """A stored dataclass whose fields no longer match the code fails with a clear error."""
+
+    def _stored_power_table(self):
+        return json.loads(json.dumps(encode(table_power.run()), allow_nan=False))
+
+    def test_missing_field_names_the_dataclass_and_the_field(self):
+        node = self._stored_power_table()
+        del node["fields"]["reference"]
+        message = r"PowerTableResult dataclass \(missing field\(s\) \['reference'\]"
+        with pytest.raises(ConfigurationError, match=message):
+            decode(node)
+
+    def test_unexpected_field_names_the_dataclass_and_the_field(self):
+        node = self._stored_power_table()
+        node["fields"]["legacy_total_uw"] = 28.0
+        message = r"unexpected field\(s\) \['legacy_total_uw'\]\).*rebuild the store"
+        with pytest.raises(ConfigurationError, match=message):
             decode(node)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ResultStore, Runner, SweepSpec, canonical_json
+from repro.api import ExperimentSpec, ResultStore, Runner, SweepSpec, canonical_json, get_experiment
 from repro.api.runner import _run_spec_task
 from repro.api.store import result_key
 from repro.exceptions import ConfigurationError
@@ -67,8 +67,6 @@ class TestShardDeterminism:
         assert len(ResultStore(tmp_path)) == 1
 
     def test_invalid_spec_aborts_before_any_worker_runs(self, tmp_path):
-        from repro.api import ExperimentSpec
-
         specs = _grid_specs()[:2] + [ExperimentSpec(experiment="fig17", params={"bogus": 1})]
         store = ResultStore(tmp_path)
         with pytest.raises(ConfigurationError, match="bogus"):
@@ -142,11 +140,13 @@ class TestResume:
         assert tracking_execute.seen_before == [0, 1, 2]
 
 
-class TestRunAllSharded:
-    def test_run_all_respects_jobs_and_store(self, tmp_path):
+class TestNamedBatchSharded:
+    def test_named_fast_batch_respects_jobs_and_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        results = Runner(jobs=2).run_all(
-            fast=True, names=["table_power", "table_packet_sizes", "fig17"], store=store
-        )
+        specs = [
+            ExperimentSpec(name, params=dict(get_experiment(name).fast_params))
+            for name in ("table_power", "table_packet_sizes", "fig17")
+        ]
+        results = Runner(jobs=2).run_batch(specs, store=store)
         assert sorted(r.experiment for r in results) == ["fig17", "table_packet_sizes", "table_power"]
         assert len(store) == 3

@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.api.cli import main
 from repro.api.report import generate_report
 from repro.api.store import ResultStore
+from repro.fabric.manifest import read_manifest
 
 _GRIDS = Path(__file__).resolve().parents[2] / "examples" / "grids"
 _PER_GRID = str(_GRIDS / "per_grid.json")
@@ -150,16 +151,45 @@ class TestCampaignCounters:
         assert "1 executed, 0 reused; store" in out.splitlines()[-1]
 
 
+class TestNamedBatches:
+    """Sharding and manifests apply to named and ``--all`` batches as to grids."""
+
+    _NAMES = ["table_power", "table_packet_sizes", "fig13"]
+
+    def test_sharded_names_fan_in_to_the_unsharded_store(self, tmp_path, capsys):
+        whole = tmp_path / "whole"
+        assert main(["run", *self._NAMES, "--fast", "--store", str(whole), "--quiet"]) == 0
+        manifests = []
+        for index in range(2):
+            manifest = tmp_path / f"manifest{index}.json"
+            shard = ["--shard-index", str(index), "--shard-count", "2", "--manifest", str(manifest)]
+            assert main(["run", *self._NAMES, "--fast", *shard, "--store", str(tmp_path / f"n{index}"), "--quiet"]) == 0
+            manifests.extend(["--manifest", str(manifest)])
+        merged = tmp_path / "merged"
+        assert main(["merge", "--into", str(merged), *manifests]) == 0
+        assert ResultStore(merged).existing_keys() == ResultStore(whole).existing_keys()
+        assert len(ResultStore(merged)) == 3
+        out = capsys.readouterr().out
+        assert "(shard 1/2, grid " in out and "(shard 2/2, grid " in out
+
+    def test_manifest_records_a_named_batch(self, tmp_path):
+        store, path = tmp_path / "store", tmp_path / "m.json"
+        assert main(["run", "fig13", "--fast", "--store", str(store), "--manifest", str(path), "--quiet"]) == 0
+        manifest = read_manifest(path)
+        assert (manifest.spec_count, manifest.shard_count) == (1, 1)
+        (entry,) = manifest.shards
+        assert (entry.index, entry.result_count, entry.uri) == (0, 1, store.resolve().as_uri())
+
+
 class TestGuardRails:
-    def test_shard_flags_come_as_a_pair_and_require_specs(self, capsys):
+    def test_shard_flags_come_as_a_pair_and_slice_named_batches(self, capsys):
         assert main(["run", "--specs", _PER_GRID, "--shard-index", "0"]) == 2
         assert "pair" in capsys.readouterr().err
-        assert main(["run", "fig13", "--shard-index", "0", "--shard-count", "2"]) == 2
-        assert "require --specs" in capsys.readouterr().err
-
-    def test_manifest_requires_specs(self, tmp_path, capsys):
-        assert main(["run", "fig13", "--manifest", str(tmp_path / "m.json")]) == 2
-        assert "--manifest requires --specs" in capsys.readouterr().err
+        assert main(["run", "table_power", "fig13", "--fast", "--shard-index", "1", "--shard-count", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "[1/1] fig13 [scalar]" in out
+        assert "table_power" not in out
+        assert "campaign: 1 spec(s), 1 executed, 0 reused" in out
 
     def test_out_of_range_shard_index_fails_cleanly(self, capsys):
         assert main(["run", "--specs", _PER_GRID, "--shard-index", "4", "--shard-count", "4"]) == 1

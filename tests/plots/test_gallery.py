@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ResultStore, Runner, SweepSpec, iter_experiments
+from repro.api import ExperimentSpec, ResultStore, Runner, SweepSpec, iter_experiments
 from repro.api.cli import main
 from repro.plots import check_gallery, generate_gallery, write_gallery
 
@@ -14,7 +14,10 @@ def fast_store(tmp_path_factory):
     """The whole registry at fast parameters, plus one replicated sweep."""
     store = ResultStore(tmp_path_factory.mktemp("fast-store"))
     runner = Runner()
-    runner.run_all(fast=True, store=store)
+    runner.run_batch(
+        [ExperimentSpec(experiment.name, params=dict(experiment.fast_params)) for experiment in iter_experiments()],
+        store=store,
+    )
     sweep = SweepSpec(
         experiment="fig17",
         grid={"phone_power_dbm": [6.0, 10.0]},
